@@ -258,7 +258,8 @@ class StencilHMLSCompiler:
         #: Per-pass statistics of the most recent compilation.
         self.pass_statistics: list[PassStatistics] = []
         #: Analysis-cache hit/miss counters of the most recent middle-end
-        #: run (None when the whole middle-end came out of the cache).
+        #: run: None unless one of its passes used the pass context's
+        #: AnalysisManager (the pass manager verifies without it).
         self.analysis_statistics: AnalysisStats | None = None
 
     def default_pipeline(self) -> str:

@@ -4,13 +4,13 @@ The :class:`AnalysisManager` mirrors MLIR's analysis manager in miniature:
 analyses are registered by name, computed on demand, and cached under
 ``(analysis name, module_hash(module))``.  Because the PR-3 fingerprints
 are invalidated incrementally on every IR mutation, a cached analysis
-survives across passes exactly as long as the module is untouched — the
-pass manager's before/after verification collapses to one real run per
-distinct module state, and an ablation sweep re-linting an unchanged
-kernel pays nothing.
+survives exactly as long as the module is untouched — an ablation
+sweep re-linting an unchanged kernel pays nothing.  (The pass manager
+verifies without it: hashing a freshly lowered module costs more than
+verifying it.)
 
 Hit/miss counters are kept per analysis (:class:`AnalysisStats`) and
-surfaced by ``shmls-compile --timing``.
+surfaced by ``shmls-compile --timing`` when a pass used the manager.
 
 Built-in analyses
 -----------------
@@ -77,9 +77,9 @@ class AnalysisStats:
 class AnalysisManager:
     """On-demand, fingerprint-keyed cache of module analyses.
 
-    Lives in the :class:`~repro.ir.passes.PassContext` of a pipeline run,
-    so every pass (and any lint rule driven over the same context) shares
-    one cache.
+    ``shmls-lint`` holds one per lint run or planned sweep; a pass may
+    keep one in its :class:`~repro.ir.passes.PassContext` to share it
+    with the passes after it.
     """
 
     _registry: ClassVar[dict[str, Callable[[Operation], Any]]] = {}

@@ -510,11 +510,10 @@ class Operation(IRNode):
     def verify_(self) -> None:
         """Hook for per-operation verification; subclasses may override."""
 
+    # No ``__eq__``: the inherited identity check stays in C, so the
+    # ``list.index``/``list.remove`` of block surgery never call into Python.
     def __hash__(self) -> int:
         return self._uid
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name} #{self._uid}>"

@@ -14,9 +14,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, TypeVar
 
-from repro.ir.analysis import AnalysisManager
 from repro.ir.core import Operation, VerifyException
 from repro.ir.diagnostics import DiagnosticError
+from repro.ir.verifier import verify_module_diagnostics
 
 T = TypeVar("T")
 
@@ -162,28 +162,22 @@ class PassManager:
         prefix was restored); ``on_pass_end`` fires after each pass has run
         and verified — the hook the per-pass artefact cache stores from.
 
-        Verification runs through the :class:`~repro.ir.analysis.AnalysisManager`
-        held in the pass context: each pass's input and output are both
-        verified, but because the cache is keyed on module fingerprints the
-        input check of pass N+1 is a cache hit on the output check of pass
-        N — 2N logical verifications cost N+1 real ones.
+        With ``verify_each`` the module is verified once on the pipeline
+        input and once on each pass's output, with a plain
+        :func:`~repro.ir.verifier.verify_module_diagnostics` run: no
+        fingerprint, no cache.  A pass's output check is the next pass's
+        input check, so N passes cost N+1 verifications.
 
         Every pass also stamps its provenance (name, pipeline position,
         canonical spec) on the module — with ``verify_each=False`` too — so
         a later manual :func:`~repro.ir.verifier.verify_module` can still
         attribute a broken module to the pass that produced it.
         """
-        analyses = self.analyses()
         spec = self.pipeline_description()
         if self.verify_each:
-            self._verify(module, analyses)
+            self._verify(module)
         for position in range(start_index, len(self.passes)):
             pass_ = self.passes[position]
-            if self.verify_each and position > start_index:
-                # Re-check this pass's input; cached from the previous
-                # pass's output verification unless the module changed
-                # behind the manager's back.
-                self._verify(module, analyses)
             if on_pass_start is not None:
                 on_pass_start(pass_, module)
             pass_.ctx = self.context
@@ -193,28 +187,19 @@ class PassManager:
             module._pass_provenance = (pass_.name, position, spec)
             self.statistics.append(PassStatistics(pass_.describe(), elapsed, bool(changed)))
             if self.verify_each:
-                self._verify(module, analyses, pass_=pass_, position=position, spec=spec)
+                self._verify(module, pass_=pass_, position=position, spec=spec)
             if on_pass_end is not None:
                 on_pass_end(pass_, module, self.statistics[-1])
         return module
 
-    def analyses(self) -> AnalysisManager:
-        """The pipeline's analysis manager, created in the context on first use."""
-        manager = self.context.get(AnalysisManager)
-        if manager is None:
-            manager = self.context.set(AnalysisManager())
-        return manager
-
     def _verify(
         self,
         module: Operation,
-        analyses: AnalysisManager,
         pass_: ModulePass | None = None,
         position: int | None = None,
         spec: str = "",
     ) -> None:
-        diagnostics = analyses.get("verify", module)
-        errors = [d for d in diagnostics if d.severity == "error"]
+        errors = [d for d in verify_module_diagnostics(module) if d.severity == "error"]
         if not errors:
             return
         err = DiagnosticError(errors)

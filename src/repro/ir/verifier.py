@@ -12,7 +12,8 @@ Failures are reported as :class:`~repro.ir.diagnostics.Diagnostic` records
 with op-path locations.  :func:`verify_module` raises a
 :class:`~repro.ir.diagnostics.DiagnosticError` (a ``VerifyException``) on
 the first error; :func:`verify_module_diagnostics` collects *all* findings
-— the mode the cached ``verify`` analysis and ``shmls-lint`` run in.
+— the mode the pass manager, the ``verify`` analysis and ``shmls-lint``
+run in.
 
 Dominance checks are linear: :class:`ModuleVerifier` precomputes one
 ``op → index`` map per block instead of rescanning ``block.index_of`` for

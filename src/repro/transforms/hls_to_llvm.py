@@ -125,12 +125,17 @@ class HLSToLLVMPass(ModulePass):
                                       attributes={"hls.dataflow_stage": UnitAttr()})
         for arg, value in zip(stage_func.entry_block.args, captured):
             arg.name_hint = value.name_hint
-        value_map = dict(zip(captured, stage_func.entry_block.args))
+        # Rebind the body's uses of captured values to the stage arguments
+        # (in walk order, so each argument's uses are in program order),
+        # then move the ops themselves.
+        arg_of = dict(zip(captured, stage_func.entry_block.args))
+        for op in inner_ops:
+            for index, operand in enumerate(op.operands):
+                arg = arg_of.get(operand)
+                if arg is not None:
+                    op.replace_operand(index, arg)
         for op in list(body.ops):
-            op.detach()
-            cloned = op.clone(value_map)
-            stage_func.entry_block.add_op(cloned)
-            op.drop_all_references()
+            stage_func.entry_block.add_op(op.detach())
         stage_func.entry_block.add_op(ReturnOp())
         module.add_op(stage_func)
 

@@ -7,10 +7,12 @@ from repro.dialects import arith, hls, llvm as llvm_d, scf
 from repro.dialects.builtin import ModuleOp
 from repro.dialects.func import CallOp, FuncOp, ReturnOp
 from repro.fpp.preprocessor import FPPError, run_fpp
+from repro.ir.core import Operation
 from repro.ir.passes import PassManager
 from repro.ir.types import LLVMPointerType, LLVMStructType, f64
 from repro.ir.verifier import verify_module
 from repro.kernels.pw_advection import build_pw_advection
+from repro.kernels.tracer_advection import build_tracer_advection
 from repro.transforms.hls_to_llvm import (
     DATAFLOW_ANNOTATION,
     FIFO_READ,
@@ -115,6 +117,53 @@ class TestHLSToLLVM:
         module = lowered_pw(small_shape)
         verify_module(module)
         assert not [op for op in module.walk() if isinstance(op, hls.DIALECT_OPERATIONS)]
+
+
+def enclosing_func(op):
+    while not isinstance(op, FuncOp):
+        op = op.parent_op()
+    return op
+
+
+class TestMovedOutlining:
+    """Dataflow outlining moves the region's ops into the stage functions."""
+
+    def outlined_tracer(self, small_shape):
+        module = build_tracer_advection(small_shape)
+        PassManager([StencilToHLSPass(CompilerOptions())]).run(module)
+        bodies = [
+            [op for op in dataflow.body.walk() if not isinstance(op, hls.DIALECT_OPERATIONS)]
+            for dataflow in module.walk_type(hls.DataflowOp)
+        ]
+        assert len(bodies) > 1
+        PassManager([HLSToLLVMPass()]).run(module)
+        return module, bodies
+
+    def test_stage_functions_hold_the_original_ops(self, small_shape):
+        module, bodies = self.outlined_tracer(small_shape)
+        stages = []
+        for ops in bodies:
+            stage = enclosing_func(ops[0])
+            assert "hls.dataflow_stage" in stage.attributes
+            held = {id(op) for op in stage.walk()}
+            assert all(id(op) in held for op in ops)
+            stages.append(stage)
+        assert len({id(stage) for stage in stages}) == len(bodies)
+
+    def test_stage_ops_use_no_parent_function_value(self, small_shape):
+        module, _ = self.outlined_tracer(small_shape)
+        stages = [f for f in module.walk_type(FuncOp) if "hls.dataflow_stage" in f.attributes]
+        assert stages
+        for stage in stages:
+            for op in stage.walk():
+                for operand in op.operands:
+                    owner = operand.owner()
+                    definer = owner if isinstance(owner, Operation) else owner.parent_op()
+                    assert enclosing_func(definer) is stage, (stage.sym_name, op.name)
+
+    def test_outlined_module_verifies(self, small_shape):
+        module, _ = self.outlined_tracer(small_shape)
+        verify_module(module)
 
 
 class TestFPP:

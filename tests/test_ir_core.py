@@ -203,3 +203,29 @@ class TestBlocksAndRegions:
         module.add_op(func)
         assert module.get_symbol("kernel") is func
         assert module.get_symbol("missing") is None
+
+
+class TestOperationIdentity:
+    """Operation equality is identity: a look-alike op never stands in for
+    the one asked for."""
+
+    def look_alikes(self, count=3):
+        return [arith.ConstantOp.from_float(1.0) for _ in range(count)]
+
+    def test_structurally_identical_ops_compare_unequal(self):
+        a, b = self.look_alikes(2)
+        assert a == a
+        assert a != b
+        assert hash(a) == a._uid and hash(b) == b._uid
+
+    def test_block_surgery_picks_the_exact_anchor(self):
+        block = Block()
+        ops = self.look_alikes()
+        block.add_ops(ops)
+        assert [block.index_of(op) for op in ops] == [0, 1, 2]
+        new = arith.ConstantOp.from_float(1.0)
+        block.insert_op_before(new, ops[2])
+        assert [id(op) for op in block.ops] == [id(ops[0]), id(ops[1]), id(new), id(ops[2])]
+        ops[1].detach()
+        assert ops[1].parent is None
+        assert [id(op) for op in block.ops] == [id(ops[0]), id(new), id(ops[2])]
