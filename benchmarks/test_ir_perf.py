@@ -10,17 +10,13 @@ numbers are tracked over time rather than asserted once:
   faster than a cold full hash of the same module;
 * per-pass-prefix caching: a warm ablation run that toggles only the last
   stencil→HLS sub-pass reuses the whole shared prefix — the per-stage hit
-  stats prove zero upstream passes re-ran;
-* zero-copy hot path: a worker warm-starting off the shared intern table
-  beats full-state unpickling, and mapped cache artifacts restore faster
-  than the pickle baseline recorded in the same run.
+  stats prove zero upstream passes re-ran.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import time
 from pathlib import Path
 
@@ -35,16 +31,7 @@ from repro.evaluation.harness import (
 )
 from repro.ir.attributes import IntAttr
 from repro.ir.hashing import module_hash
-from repro.ir.interning import (
-    ATTRIBUTE_INTERNER,
-    SharedInternTable,
-    _prefers_reference,
-    activated_table,
-    canonical_attributes,
-    intern_stats,
-    publish_intern_table,
-    scratch_interner,
-)
+from repro.ir.interning import ATTRIBUTE_INTERNER, intern_stats
 from repro.kernels.grids import PW_ADVECTION_SIZES, TRACER_ADVECTION_SIZES
 from repro.kernels.pw_advection import build_pw_advection
 from repro.kernels.tracer_advection import build_tracer_advection
@@ -209,109 +196,3 @@ def test_ablation_matrix_sweep_shares_prefixes(tmp_path):
     assert per_variant_hits["depth-8"] == 4
     # The last-sub-pass toggle reuses the whole 6-pass prefix.
     assert per_variant_hits["single-bundle-staged"] == 6
-
-
-def test_worker_warm_start_off_shared_intern_table_beats_full_unpickle(tmp_path):
-    """A pool worker materialising the compound-attribute working set from
-    shard payloads warm-starts faster against the shared intern table than
-    by unpickling full-state blobs: reference payloads are smaller, and
-    every payload after the first hits the table's per-process resolution
-    memo instead of rebuilding + re-interning attribute state.
-
-    (Trivial scalar attributes deliberately stay inline — they pickle in
-    fewer bytes than a reference and are cheaper to rebuild than to
-    resolve — so the payload here is exactly the set the table covers.)
-    """
-    StencilHMLSCompiler().compile(
-        build_pw_advection(PW_ADVECTION_SIZES["8M"].shape)
-    )
-    working_set = [
-        attr for attr in canonical_attributes() if _prefers_reference(attr)
-    ]
-    assert len(working_set) > 50
-
-    full_blob = pickle.dumps(working_set, protocol=pickle.HIGHEST_PROTOCOL)
-    table_dir = tmp_path / "intern-table"
-    publish_intern_table(table_dir)
-    with activated_table(SharedInternTable.open(table_dir)):
-        ref_blob = pickle.dumps(working_set, protocol=pickle.HIGHEST_PROTOCOL)
-    assert len(ref_blob) < len(full_blob), "table references must shrink the blob"
-
-    payloads = 8  # shard payloads handled by one (warm) worker process
-    rounds = 5
-
-    def warm_start(blob: bytes, with_table: bool) -> float:
-        times = []
-        for _ in range(rounds):
-            with scratch_interner():  # simulate a freshly forked worker
-                start = time.perf_counter()
-                table = SharedInternTable.open(table_dir) if with_table else None
-                with activated_table(table):
-                    for _ in range(payloads):
-                        pickle.loads(blob)
-                times.append(time.perf_counter() - start)
-                if table is not None:
-                    table.close()
-        return min(times)
-
-    full = warm_start(full_blob, with_table=False)
-    shared = warm_start(ref_blob, with_table=True)
-    speedup = full / shared
-    _RECORD["worker_warm_start_ms"] = {
-        "working_set_attrs": len(working_set),
-        "payloads_per_worker": payloads,
-        "full_blob_bytes": len(full_blob),
-        "ref_blob_bytes": len(ref_blob),
-        "pickle_ms": round(full * 1e3, 3),
-        "shared_table_ms": round(shared * 1e3, 3),
-        "speedup": round(speedup, 2),
-    }
-    assert speedup > 1.0, (
-        f"shared-table warm start only {speedup:.2f}x "
-        f"(full {full * 1e3:.2f}ms, table {shared * 1e3:.2f}ms)"
-    )
-
-
-def test_artifact_restore_mapped_beats_pickle(tmp_path):
-    """Warm restores from a ``mapped`` cache must beat the ``pickle``
-    baseline recorded in the same run: hits mmap the container and decode
-    sections lazily into private objects (a shallow ``with_note`` restamp)
-    instead of round-tripping the artifact through full pickle clones."""
-    module = build_pw_advection(PW_ADVECTION_SIZES["8M"].shape)
-    dirs = {"pickle": tmp_path / "cache-pkl", "mapped": tmp_path / "cache-shmc"}
-    for fmt, cache_dir in dirs.items():  # cold populate both formats
-        StencilHMLSCompiler(
-            pass_pipeline=STAGED_PIPELINE, cache=CompileCache(cache_dir, fmt=fmt)
-        ).compile(module)
-
-    rounds = 5
-    timings: dict[str, float] = {}
-    restored: dict[str, dict] = {}
-    for fmt, cache_dir in dirs.items():
-        times = []
-        for _ in range(rounds):
-            # A fresh cache instance per round: warm *disk*, cold memory —
-            # the worker-picks-up-a-shard restore path.
-            cache = CompileCache(cache_dir, fmt=fmt)
-            compiler = StencilHMLSCompiler(
-                pass_pipeline=STAGED_PIPELINE, cache=cache
-            )
-            start = time.perf_counter()
-            xclbin = compiler.compile(module)
-            times.append(time.perf_counter() - start)
-            assert cache.stats.hits.get("middle-end", 0) == 1
-        timings[fmt] = min(times)
-        restored[fmt] = xclbin.summary()
-
-    assert restored["mapped"] == restored["pickle"]
-    speedup = timings["pickle"] / timings["mapped"]
-    _RECORD["artifact_restore_ms"] = {
-        "pickle_ms": round(timings["pickle"] * 1e3, 3),
-        "mapped_ms": round(timings["mapped"] * 1e3, 3),
-        "speedup": round(speedup, 2),
-    }
-    assert speedup > 1.0, (
-        f"mapped restore only {speedup:.2f}x "
-        f"(pickle {timings['pickle'] * 1e3:.2f}ms, "
-        f"mapped {timings['mapped'] * 1e3:.2f}ms)"
-    )

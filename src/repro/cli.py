@@ -22,9 +22,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.compile_cache import CACHE_FORMATS, CompileCache
+from repro.core.compile_cache import CompileCache
 from repro.core.config import CompilerOptions
-from repro.ir.interning import open_shared_table, publish_intern_table
 from repro.core.pipeline import StencilHMLSCompiler
 from repro.ir.pass_registry import PipelineParseError
 from repro.evaluation import report as report_module
@@ -68,15 +67,6 @@ def main_compile(argv: list[str] | None = None) -> int:
     parser.add_argument("--cache-max-bytes", type=int, default=None, metavar="BYTES",
                         help="evict least-recently-used cache entries down to this "
                         "on-disk budget after compiling")
-    parser.add_argument("--cache-format", choices=CACHE_FORMATS, default="pickle",
-                        help="compile-cache storage format: 'pickle' (one blob "
-                        "per entry) or 'mapped' (sectioned container, mmap'd + "
-                        "lazily decoded on hits; default pickle)")
-    parser.add_argument("--shared-intern-table", default=None, metavar="DIR",
-                        help="shared attribute intern table directory: opened "
-                        "read-only before compiling (cache hits resolve "
-                        "attribute references against it) and republished "
-                        "with this compilation's attributes afterwards")
     parser.add_argument("--print-hls", action="store_true", help="print the HLS-dialect IR")
     parser.add_argument("--print-llvm", action="store_true", help="print the annotated LLVM-dialect IR")
     parser.add_argument("--metadata", default=None, help="write xclbin metadata JSON to this path")
@@ -95,15 +85,10 @@ def main_compile(argv: list[str] | None = None) -> int:
     device = device_by_name(args.device)
     cache = None
     if (args.cache_dir or args.remote_cache_dir) and not args.no_cache:
-        cache = CompileCache(
-            args.cache_dir, remote_dir=args.remote_cache_dir, fmt=args.cache_format
-        )
+        cache = CompileCache(args.cache_dir, remote_dir=args.remote_cache_dir)
     if args.cache_max_bytes is not None and (cache is None or cache.cache_dir is None):
         parser.error("--cache-max-bytes needs an active local cache "
                      "(--cache-dir without --no-cache)")
-    if args.shared_intern_table:
-        # Tolerates a missing table (first run publishes it below).
-        open_shared_table(args.shared_intern_table)
     compiler = StencilHMLSCompiler(options, device, pass_pipeline=args.pass_pipeline, cache=cache)
     module = builder(shape)
     try:
@@ -120,10 +105,6 @@ def main_compile(argv: list[str] | None = None) -> int:
     print(f"compiled {args.kernel} @ {args.size} for {device.name}")
     for key, value in xclbin.summary().items():
         print(f"  {key:<16}: {value}")
-    if args.shared_intern_table:
-        # Republish so the table accumulates this compilation's attributes
-        # (append-only; a no-op when nothing new was interned).
-        publish_intern_table(args.shared_intern_table)
     if cache is not None and args.cache_max_bytes is not None:
         cache.gc(args.cache_max_bytes)
     if args.timing:

@@ -13,12 +13,11 @@ compiler can reuse per-stage artefacts independently:
 * ``synthesis``   — the device-specific :class:`KernelDesign`
 * ``result``      — a whole evaluation-harness :class:`FrameworkResult`
 
-The cache is tiered: a per-process in-memory store (values are held as
-objects; callers clone mutable IR on the way in/out), an optional
-on-disk tier under ``cache_dir`` (written atomically so parallel
-evaluation workers can share one directory), and an optional *shared
-network tier* under ``remote_dir`` — any filesystem path several machines
-can mount (NFS, sshfs, a synced directory).  The remote tier is
+The cache is tiered: a per-process in-memory store, an optional on-disk
+tier under ``cache_dir`` (written atomically so parallel evaluation
+workers can share one directory), and an optional *shared network tier*
+under ``remote_dir`` — any filesystem path several machines can mount
+(NFS, sshfs, a synced directory).  The remote tier is
 read-through/write-back: a local miss that hits the remote tier copies
 the artefact into the local tier, and fresh local stores are published
 back with the same atomic temp-file-then-rename protocol, so concurrent
@@ -27,44 +26,35 @@ content hashes, so cross-machine and cross-user dedup needs no
 coordination at all.  Hit/miss/store counts are recorded per stage and
 surfaced by ``--timing`` / the bench CLI.
 
-Storage formats
----------------
+Storage format
+--------------
 
-Two on-disk formats are supported (``fmt=`` / ``--cache-format``):
+Every tier holds *bytes only*: one pickle of the value.  :meth:`put`
+serialises once and hands the same payload to memory, disk and remote;
+:meth:`get` unpickles once, so every hit is a fresh private object that
+the caller may mutate freely, and mutating a value after ``put`` never
+changes what is stored.  No caller clones on the way in or out.
 
-* ``pickle`` (default) — one pickle blob per entry (``.pkl``), fully
-  deserialised on every hit.
-* ``mapped`` — a sectioned container (``.shmc``): a small JSON header
-  naming lazily-decoded sections, restored via ``mmap`` so a hit only
-  ever touches the header plus the sections the consumer actually
-  decodes.  Values that implement the *mapped codec protocol*
-  (``__mapped_sections__`` / ``__from_mapped__``, see
-  :class:`~repro.core.pipeline.PassPrefixArtifact`) split into multiple
-  sections; everything else round-trips through a single ``value``
-  section.  Decoding always builds fresh private objects, so mapped
-  stores are implicitly isolated — there is no shared mutable state
-  between the cache and its callers.
-
-Both formats share the tiering, atomic publishing, stats, and gc logic;
-a cache instance reads and writes only its own format's extension, so a
-fleet must use one format consistently per cache directory.
+On disk and on the remote tier each entry (``<digest>.pkl``) is framed
+as a magic string, the CRC-32 of the payload, then the payload.  Every
+disk/remote read checks both; a flipped byte, a truncated file or an
+entry written in an older format counts in ``errors`` and is a miss, so
+the artefact is recomputed rather than served wrong.
 """
 
 from __future__ import annotations
 
-import importlib
-import json
-import mmap
 import os
 import pickle
 import struct
 import sys
 import tempfile
 import threading
+import zlib
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 #: Pickling an IR module recurses through its use-def web, whose depth grows
 #: with program length; the default interpreter limit (1000) is too small for
@@ -93,8 +83,24 @@ def _ensure_pickle_recursion_floor() -> None:
         _recursion_floor_set = True
 
 
-#: The storage formats `CompileCache` understands.
-CACHE_FORMATS = ("pickle", "mapped")
+#: Disk/remote entry frame: magic, then the payload's CRC-32 (u32 LE).
+_ENTRY_MAGIC = b"SHMLS-C1"
+_ENTRY_CRC = struct.Struct("<I")
+_ENTRY_HEADER_SIZE = len(_ENTRY_MAGIC) + _ENTRY_CRC.size
+
+
+def _entry_header(payload: bytes | memoryview) -> bytes:
+    return _ENTRY_MAGIC + _ENTRY_CRC.pack(zlib.crc32(payload))
+
+
+def _entry_payload(entry: bytes) -> memoryview | None:
+    """The verified payload of a framed entry; ``None`` if the magic or the
+    CRC does not match (a corrupt, truncated or older-format entry)."""
+    if len(entry) < _ENTRY_HEADER_SIZE or not entry.startswith(_ENTRY_MAGIC):
+        return None
+    (crc,) = _ENTRY_CRC.unpack_from(entry, len(_ENTRY_MAGIC))
+    payload = memoryview(entry)[_ENTRY_HEADER_SIZE:]
+    return payload if zlib.crc32(payload) == crc else None
 
 
 @dataclass(frozen=True)
@@ -146,152 +152,6 @@ class CacheKey:
             options=entry.get("options", ""),
             extra=entry.get("extra", ""),
         )
-
-
-class _LazyBlob:
-    """Memory-tier placeholder: pickled bytes deserialised on first hit.
-
-    ``put(isolate=True)`` already has the serialised form in hand for the
-    disk tier; keeping the bytes (instead of eagerly unpickling a private
-    copy) makes cold-path stores one ``dumps`` total, and lookups that
-    never hit the entry never pay the ``loads``.
-    """
-
-    __slots__ = ("blob",)
-
-    def __init__(self, blob: bytes) -> None:
-        self.blob = blob
-
-
-# ---------------------------------------------------------------------------
-# Mapped container format
-# ---------------------------------------------------------------------------
-
-#: Mapped container: magic + u32 JSON-header length + header + sections.
-_MAPPED_MAGIC = b"SHMC0001"
-_MAPPED_HEADER_LEN = struct.Struct("<I")
-
-
-def _codec_name(value: Any) -> str:
-    cls = type(value)
-    return f"{cls.__module__}:{cls.__qualname__}"
-
-
-def _resolve_codec(name: str) -> type:
-    module_name, _, qualname = name.partition(":")
-    obj: Any = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    return obj
-
-
-def encode_mapped(value: Any) -> bytes:
-    """Encode ``value`` as a mapped container (header + pickled sections).
-
-    Values implementing ``__mapped_sections__() -> (meta, {name: obj})``
-    split into independently-decodable sections restored through their
-    class's ``__from_mapped__``; anything else becomes one ``value``
-    section with an empty codec.
-    """
-    if hasattr(value, "__mapped_sections__"):
-        codec = _codec_name(value)
-        meta, parts = value.__mapped_sections__()
-    else:
-        codec, meta, parts = "", {}, {"value": value}
-    payloads: list[bytes] = []
-    sections: dict[str, list[int]] = {}
-    offset = 0
-    for name, obj in parts.items():
-        blob = CompileCache._dumps(obj)
-        sections[name] = [offset, len(blob)]
-        offset += len(blob)
-        payloads.append(blob)
-    header = json.dumps(
-        {"codec": codec, "meta": meta, "sections": sections},
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
-    return b"".join(
-        [_MAPPED_MAGIC, _MAPPED_HEADER_LEN.pack(len(header)), header, *payloads]
-    )
-
-
-class MappedBlob:
-    """One mapped container over bytes or an ``mmap`` buffer.
-
-    Only the header is parsed up front; :meth:`section` unpickles a
-    section's byte range on demand, and :meth:`decode` rebuilds the
-    stored value through its codec — a *fresh private object* per call,
-    which is what makes the mapped memory tier isolation-free-by-design.
-    """
-
-    __slots__ = ("_buffer", "_handle", "_payload_start", "codec", "meta", "_sections")
-
-    def __init__(self, buffer: Any, handle: Any = None) -> None:
-        self._buffer = buffer
-        self._handle = handle
-        magic_len = len(_MAPPED_MAGIC)
-        prefix = magic_len + _MAPPED_HEADER_LEN.size
-        if len(buffer) < prefix or bytes(buffer[:magic_len]) != _MAPPED_MAGIC:
-            raise ValueError("not a mapped cache container")
-        (header_len,) = _MAPPED_HEADER_LEN.unpack_from(buffer, magic_len)
-        if len(buffer) < prefix + header_len:
-            raise ValueError("truncated mapped container header")
-        header = json.loads(bytes(buffer[prefix : prefix + header_len]))
-        self._payload_start = prefix + header_len
-        self.codec = header["codec"]
-        self.meta = header["meta"]
-        self._sections = header["sections"]
-
-    @classmethod
-    def from_file(cls, path: Path) -> "MappedBlob":
-        """Map ``path`` read-only; sections decode straight off the page
-        cache without ever copying the whole artefact into python."""
-        handle = path.open("rb")
-        try:
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-            return cls(mapped, handle)
-        except (ValueError, OSError):
-            handle.close()
-            raise
-
-    def has_section(self, name: str) -> bool:
-        return name in self._sections
-
-    def section_names(self) -> list[str]:
-        return list(self._sections)
-
-    def section(self, name: str) -> Any:
-        """Unpickle one section's byte range (lazy; nothing else is read)."""
-        offset, length = self._sections[name]
-        start = self._payload_start + offset
-        return CompileCache._loads(bytes(self._buffer[start : start + length]))
-
-    def decode(self) -> Any:
-        """Rebuild the stored value (fresh private objects every call)."""
-        if not self.codec:
-            return self.section("value")
-        cls = _resolve_codec(self.codec)
-        return cls.__from_mapped__(self.meta, self.section, self.has_section)
-
-    def close(self) -> None:
-        if isinstance(self._buffer, mmap.mmap):
-            try:
-                self._buffer.close()
-            except Exception:
-                pass
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            except Exception:
-                pass
-            self._handle = None
-
-    def __del__(self) -> None:  # pragma: no cover - best-effort fd cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
 
 
 @dataclass
@@ -380,14 +240,12 @@ class CompileCache:
     >>> cache.stats.total_hits, cache.stats.total_misses
     (1, 1)
 
-    The mapped format stores sectioned, lazily-decoded containers and
-    always hands back fresh private objects:
+    Every hit is a fresh private object, so mutating one never reaches
+    the stored entry:
 
-    >>> mapped = CompileCache(fmt="mapped")
-    >>> mapped.put(key, "result", {"mpts": 1.5})
-    >>> hit = mapped.get(key, "result")
-    >>> hit == {'mpts': 1.5} and hit is not mapped.get(key, "result")
-    True
+    >>> cache.get(key, "result")["mpts"] = 0.0
+    >>> cache.get(key, "result")
+    {'mpts': 1.5}
 
     Pass ``cache_dir`` to add the on-disk tier (written atomically, safe
     to share between parallel evaluation workers) and ``remote_dir`` to
@@ -401,15 +259,11 @@ class CompileCache:
         cache_dir: str | Path | None = None,
         *,
         remote_dir: str | Path | None = None,
-        fmt: str = "pickle",
     ) -> None:
-        if fmt not in CACHE_FORMATS:
-            raise ValueError(f"unknown cache format {fmt!r}; expected one of {CACHE_FORMATS}")
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.remote_dir = Path(remote_dir) if remote_dir is not None else None
-        self.fmt = fmt
-        self._ext = ".pkl" if fmt == "pickle" else ".shmc"
-        self._memory: dict[str, Any] = {}
+        #: Digest → pickled payload (bytes only, never live objects).
+        self._memory: dict[str, bytes | memoryview] = {}
         #: Incremental on-disk footprint; ``None`` until the first
         #: ``disk_bytes()``/``gc()`` rescan establishes the baseline.
         self._disk_bytes_counter: int | None = None
@@ -425,11 +279,11 @@ class CompileCache:
 
     def _path(self, digest: str) -> Path:
         assert self.cache_dir is not None
-        return self.cache_dir / digest[:2] / f"{digest}{self._ext}"
+        return self.cache_dir / digest[:2] / f"{digest}.pkl"
 
     def _remote_path(self, digest: str) -> Path:
         assert self.remote_dir is not None
-        return self.remote_dir / digest[:2] / f"{digest}{self._ext}"
+        return self.remote_dir / digest[:2] / f"{digest}.pkl"
 
     # -- pickle helpers -------------------------------------------------------
 
@@ -439,38 +293,42 @@ class CompileCache:
         return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
     @staticmethod
-    def _loads(blob: bytes) -> Any:
+    def _loads(blob: bytes | memoryview) -> Any:
         _ensure_pickle_recursion_floor()
         return pickle.loads(blob)
 
     # -- core API -------------------------------------------------------------
 
-    def get(
-        self,
-        key: CacheKey,
-        stage: str,
-        *,
-        rehydrate: Callable[[Any], Any] | None = None,
-    ) -> Any | None:
+    def get(self, key: CacheKey, stage: str) -> Any | None:
         """Look up one stage artefact; ``None`` means miss.
 
-        ``rehydrate`` post-processes the stored value (e.g. cloning cached
-        IR modules so callers can mutate their copy freely).  Lookup order
-        is memory → local disk → shared remote tier; a remote hit is
-        copied read-through into the local tiers.  In mapped mode the
-        disk tier is ``mmap``'d and decoded per section on demand, and
-        every hit decodes to fresh private objects.
+        Lookup order is memory → local disk → shared remote tier; a remote
+        hit is copied read-through into the local tiers.  The stored
+        payload is unpickled once per call, so the caller owns the result.
         """
         digest = key.digest(stage)
         with self._lock:
-            value = (
-                self._get_mapped(digest) if self.fmt == "mapped" else self._get_pickle(digest)
-            )
+            payload = self._memory.get(digest)
+            tier = None
+            if payload is None:
+                payload, tier = self._read_tiers(digest)
+            value = None
+            if payload is not None:
+                try:
+                    value = self._loads(payload)
+                except Exception:
+                    # An unloadable entry (e.g. a class renamed since it
+                    # was stored) is a miss + recompute, not a crash.
+                    self.stats.errors += 1
+                    self._memory.pop(digest, None)
             if value is None:
                 self.stats.misses[stage] += 1
                 return None
             self.stats.hits[stage] += 1
-        return rehydrate(value) if rehydrate is not None else value
+            if tier is not None:
+                self._memory[digest] = payload
+                self._after_tier_hit(digest, tier, payload)
+        return value
 
     def probe(self, key: CacheKey, stage: str) -> bool:
         """Hit check *without restoring*: is the artefact in any tier?
@@ -502,88 +360,28 @@ class CompileCache:
             return True
         return False
 
-    def _get_pickle(self, digest: str) -> Any | None:
-        value: Any | None = None
-        if digest in self._memory:
-            value = self._memory[digest]
-            if isinstance(value, _LazyBlob):
-                try:
-                    value = self._loads(value.blob)
-                    self._memory[digest] = value
-                except Exception:
-                    # The bytes came from our own dumps; a failure here is
-                    # a corrupt entry, not a reason to retry the disk copy.
-                    self.stats.errors += 1
-                    del self._memory[digest]
-                    value = None
-        else:
-            blob, tier = self._read_tiers(digest)
-            if blob is not None:
-                try:
-                    value = self._loads(blob)
-                    self._memory[digest] = value
-                except Exception:
-                    # A truncated/stale/unreadable entry is a miss, not a crash.
-                    self.stats.errors += 1
-                    value = None
-                else:
-                    self._after_tier_hit(digest, tier, blob)
-        return value
-
-    def _get_mapped(self, digest: str) -> Any | None:
-        mapped: MappedBlob | None = self._memory.get(digest)
-        if mapped is None:
-            if self.cache_dir is not None:
-                try:
-                    mapped = MappedBlob.from_file(self._path(digest))
-                except OSError:
-                    mapped = None
-                except ValueError:
-                    self.stats.errors += 1
-                    mapped = None
-                else:
-                    self._after_tier_hit(digest, "disk", None)
-            if mapped is None and self.remote_dir is not None:
-                try:
-                    blob = self._remote_path(digest).read_bytes()
-                except OSError:
-                    blob = None
-                if blob is not None:
-                    try:
-                        mapped = MappedBlob(blob)
-                    except ValueError:
-                        self.stats.errors += 1
-                        mapped = None
-                    else:
-                        self._after_tier_hit(digest, "remote", blob)
-            if mapped is None:
-                return None
-            self._memory[digest] = mapped
-        try:
-            return mapped.decode()
-        except Exception:
-            # Undecodable sections (e.g. shared-intern references without
-            # an active table) degrade to a miss + recompile.
-            self.stats.errors += 1
-            self._memory.pop(digest, None)
-            mapped.close()
-            return None
-
-    def _read_tiers(self, digest: str) -> tuple[bytes | None, str | None]:
-        """Raw bytes for ``digest`` from local disk, then the remote tier."""
+    def _read_tiers(self, digest: str) -> tuple[memoryview | None, str | None]:
+        """The verified payload for ``digest`` from local disk, then the
+        remote tier.  An entry that fails its magic/CRC check counts in
+        ``errors`` and the lookup moves on, as if the entry were absent."""
+        tiers = []
         if self.cache_dir is not None:
-            try:
-                return self._path(digest).read_bytes(), "disk"
-            except OSError:
-                pass
+            tiers.append(("disk", self._path(digest)))
         if self.remote_dir is not None:
+            tiers.append(("remote", self._remote_path(digest)))
+        for tier, path in tiers:
             try:
-                return self._remote_path(digest).read_bytes(), "remote"
+                entry = path.read_bytes()
             except OSError:
-                pass
+                continue
+            payload = _entry_payload(entry)
+            if payload is None:
+                self.stats.errors += 1
+                continue
+            return payload, tier
         return None, None
 
-    def _after_tier_hit(self, digest: str, tier: str | None, blob: bytes | None) -> None:
+    def _after_tier_hit(self, digest: str, tier: str, payload: memoryview) -> None:
         if tier == "disk":
             # Refresh mtime so gc()'s LRU sees *use* recency, not just
             # store recency — hot entries must outlive cold one-offs in
@@ -594,63 +392,38 @@ class CompileCache:
                 pass
         elif tier == "remote":
             self.stats.remote_hits += 1
-            if self.cache_dir is not None and blob is not None:
+            if self.cache_dir is not None:
                 # Read-through: future lookups (and gc accounting) are
                 # served locally, with a fresh mtime.
-                self._write_local(self._path(digest), blob)
+                self._write_local(self._path(digest), payload)
 
-    def put(self, key: CacheKey, stage: str, value: Any, *, isolate: bool = False) -> None:
+    def put(self, key: CacheKey, stage: str, value: Any) -> None:
         """Store one stage artefact.
 
-        With ``isolate=True`` the cache serialises ``value`` once and keeps
-        the *bytes* in the memory tier (deserialised lazily on first hit;
-        the same bytes go to disk), so callers may keep mutating the live
-        object after the call without re-pickling it themselves.  The
-        mapped format encodes immediately — it is always isolated — so
-        the flag is a no-op there.  A store lands in every configured
+        ``value`` is serialised once, here: the caller may keep mutating
+        the live object afterwards.  The payload lands in every configured
         tier: memory, local disk and — written back with the same atomic
-        rename — the shared remote directory.
+        rename — the shared remote directory.  A value that cannot be
+        pickled counts in ``errors`` and is not stored.
         """
         digest = key.digest(stage)
+        try:
+            payload = self._dumps(value)
+        except Exception:
+            with self._lock:
+                self.stats.errors += 1
+            return
         with self._lock:
-            if self.fmt == "mapped":
-                try:
-                    blob = encode_mapped(value)
-                except Exception:
-                    # Unencodable artefacts cannot be stored in this format.
-                    self.stats.errors += 1
-                    return
-                self._memory[digest] = MappedBlob(blob)
-                self.stats.stores[stage] += 1
-            else:
-                blob = None
-                if isolate:
-                    try:
-                        blob = self._dumps(value)
-                    except Exception:
-                        # Unpicklable artefacts cannot be isolated: skip the store.
-                        self.stats.errors += 1
-                        return
-                    value = _LazyBlob(blob)
-                self._memory[digest] = value
-                self.stats.stores[stage] += 1
-                if self.cache_dir is None and self.remote_dir is None:
-                    return
-                if blob is None:
-                    try:
-                        blob = self._dumps(value)
-                    except Exception:
-                        # Unpicklable artefacts stay memory-tier only.
-                        self.stats.errors += 1
-                        return
+            self._memory[digest] = payload
+            self.stats.stores[stage] += 1
             if self.cache_dir is not None:
-                self._write_local(self._path(digest), blob)
+                self._write_local(self._path(digest), payload)
             if self.remote_dir is not None and self._write_atomic(
-                self._remote_path(digest), blob
+                self._remote_path(digest), payload
             ):
                 self.stats.remote_stores += 1
 
-    def _write_local(self, path: Path, blob: bytes) -> bool:
+    def _write_local(self, path: Path, payload: bytes | memoryview) -> bool:
         """Write to the local disk tier, keeping the incremental byte
         counter in step (an overwrite replaces the old entry's bytes)."""
         old = 0
@@ -659,21 +432,23 @@ class CompileCache:
                 old = path.stat().st_size
             except OSError:
                 old = 0
-        ok = self._write_atomic(path, blob)
+        ok = self._write_atomic(path, payload)
         if ok and self._disk_bytes_counter is not None:
-            self._disk_bytes_counter += len(blob) - old
+            self._disk_bytes_counter += _ENTRY_HEADER_SIZE + len(payload) - old
         return ok
 
-    def _write_atomic(self, path: Path, blob: bytes) -> bool:
-        """Publish ``blob`` at ``path`` via temp-file + same-directory
-        rename (atomic on POSIX filesystems, including NFS mounts), so
-        parallel writers on any machine never observe a torn entry."""
+    def _write_atomic(self, path: Path, payload: bytes | memoryview) -> bool:
+        """Publish the framed ``payload`` at ``path`` via temp-file +
+        same-directory rename (atomic on POSIX filesystems, including NFS
+        mounts), so parallel writers on any machine never observe a torn
+        entry."""
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
+                    handle.write(_entry_header(payload))
+                    handle.write(payload)
                 os.replace(tmp_name, path)
             except BaseException:
                 try:
@@ -692,13 +467,12 @@ class CompileCache:
         """Every on-disk entry as ``(mtime, size, path)``, oldest first."""
         assert self.cache_dir is not None
         entries: list[tuple[float, int, Path]] = []
-        for pattern in ("*/*.pkl", "*/*.shmc"):
-            for path in self.cache_dir.glob(pattern):
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue  # a parallel writer/GC raced us; skip
-                entries.append((stat.st_mtime, stat.st_size, path))
+        for path in self.cache_dir.glob("*/*.pkl"):
+            try:
+                stat = path.stat()
+            except OSError:
+                continue  # a parallel writer/GC raced us; skip
+            entries.append((stat.st_mtime, stat.st_size, path))
         entries.sort(key=lambda e: (e[0], e[2].name))
         return entries
 
@@ -765,9 +539,6 @@ class CompileCache:
     def clear_memory(self) -> None:
         """Drop the in-memory tier (the disk tier, if any, stays)."""
         with self._lock:
-            for value in self._memory.values():
-                if isinstance(value, MappedBlob):
-                    value.close()
             self._memory.clear()
 
     def __len__(self) -> int:

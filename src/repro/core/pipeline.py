@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any
-
 from repro.core.compile_cache import CacheKey, CompileCache
 from repro.core.config import CompilerOptions
 from repro.core.plan import DataflowPlan
@@ -95,31 +93,15 @@ class MiddleEndResult:
     fpp_report: FPPReport
     pass_statistics: list[PassStatistics]
 
-    def clone(self, *, note: str = "") -> "MiddleEndResult":
-        """A copy whose IR modules the caller may freely mutate.
-
-        Plans/reports are treated as immutable and shared; statistics are
-        copied so a ``note`` (e.g. ``cached``) can be stamped per retrieval.
-        """
-        return MiddleEndResult(
-            hls_module=self.hls_module.clone(),
-            llvm_module=self.llvm_module.clone(),
-            plans=dict(self.plans),
-            fpp_report=self.fpp_report,
-            pass_statistics=[
-                dataclasses.replace(stat, note=note or stat.note)
-                for stat in self.pass_statistics
-            ],
-        )
+    def clone(self) -> "MiddleEndResult":
+        """A private deep copy: one pickle round-trip, the same path a
+        cache hit takes.  (perfbench's layer tracer wraps this method by
+        name.)"""
+        return CompileCache._loads(CompileCache._dumps(self))
 
     def with_note(self, note: str = "") -> "MiddleEndResult":
-        """Restamp statistics *without* cloning the IR.
-
-        Valid only when the modules are already private to the caller —
-        which is exactly what a mapped-cache hit hands back (every decode
-        builds fresh objects), so mapped restores skip the pickle
-        round-trip :meth:`clone` pays.
-        """
+        """Restamp statistics (e.g. ``cached``) without copying the IR —
+        a cache hit is already private to its caller."""
         return MiddleEndResult(
             hls_module=self.hls_module,
             llvm_module=self.llvm_module,
@@ -129,30 +111,6 @@ class MiddleEndResult:
                 dataclasses.replace(stat, note=note or stat.note)
                 for stat in self.pass_statistics
             ],
-        )
-
-    # -- mapped-cache codec (see repro.core.compile_cache) --------------------
-
-    def __mapped_sections__(self) -> tuple[dict, dict]:
-        # llvm_module and the plans reference shared IR objects (plan
-        # analyses point into the module), so they serialise together;
-        # the HLS snapshot is an independent clone and gets its own
-        # lazily-decoded section.
-        return {}, {
-            "hls": self.hls_module,
-            "payload": (self.llvm_module, self.plans, self.fpp_report),
-            "statistics": self.pass_statistics,
-        }
-
-    @classmethod
-    def __from_mapped__(cls, meta: dict, section, has) -> "MiddleEndResult":
-        llvm_module, plans, fpp_report = section("payload")
-        return cls(
-            hls_module=section("hls"),
-            llvm_module=llvm_module,
-            plans=plans,
-            fpp_report=fpp_report,
-            pass_statistics=section("statistics"),
         )
 
 
@@ -165,8 +123,8 @@ class PassPrefixArtifact:
     options fingerprint)``, so an ablation sweep that only toggles a late
     sub-pass resumes from the longest shared prefix instead of re-running
     every upstream pass.  The module, the :class:`LoweringContext` and the
-    HLS snapshot reference each other's IR objects, so they are cloned
-    *together* (one pickle round-trip) to stay consistent.
+    HLS snapshot reference each other's IR objects, so they are pickled
+    *together* as one cache entry to stay consistent.
     """
 
     module: ModuleOp
@@ -177,25 +135,15 @@ class PassPrefixArtifact:
     #: so warm lookups never have to re-hash restored snapshots.
     out_hash: str
 
-    def clone(self, *, note: str = "") -> "PassPrefixArtifact":
-        module, lowering, hls_module = CompileCache._loads(
-            CompileCache._dumps((self.module, self.lowering, self.hls_module))
-        )
-        return PassPrefixArtifact(
-            module=module,
-            lowering=lowering,
-            hls_module=hls_module,
-            statistics=[
-                dataclasses.replace(stat, note=note or stat.note)
-                for stat in self.statistics
-            ],
-            out_hash=self.out_hash,
-        )
+    def clone(self) -> "PassPrefixArtifact":
+        """A private deep copy: one pickle round-trip, so the module, the
+        lowering context and the HLS snapshot stay consistent.
+        (perfbench's layer tracer wraps this method by name.)"""
+        return CompileCache._loads(CompileCache._dumps(self))
 
     def with_note(self, note: str = "") -> "PassPrefixArtifact":
-        """Restamp statistics without re-serialising the snapshot — the
-        mapped-cache counterpart of :meth:`clone` (decoded sections are
-        already private objects)."""
+        """Restamp statistics without copying the snapshot — a cache hit
+        is already private to its caller."""
         return PassPrefixArtifact(
             module=self.module,
             lowering=self.lowering,
@@ -205,33 +153,6 @@ class PassPrefixArtifact:
                 for stat in self.statistics
             ],
             out_hash=self.out_hash,
-        )
-
-    # -- mapped-cache codec (see repro.core.compile_cache) --------------------
-
-    def __mapped_sections__(self) -> tuple[dict, dict]:
-        # The module and the LoweringContext reference each other's IR
-        # objects, so they share one section; the HLS snapshot (when
-        # present) is independent and decodes lazily — a chain walk that
-        # never simulates the kernel never touches it.
-        meta = {"out_hash": self.out_hash}
-        parts: dict[str, Any] = {
-            "payload": (self.module, self.lowering),
-            "statistics": self.statistics,
-        }
-        if self.hls_module is not None:
-            parts["hls"] = self.hls_module
-        return meta, parts
-
-    @classmethod
-    def __from_mapped__(cls, meta: dict, section, has) -> "PassPrefixArtifact":
-        module, lowering = section("payload")
-        return cls(
-            module=module,
-            lowering=lowering,
-            hls_module=section("hls") if has("hls") else None,
-            statistics=section("statistics"),
-            out_hash=meta["out_hash"],
         )
 
 
@@ -304,27 +225,17 @@ class StencilHMLSCompiler:
         self.analysis_statistics = None
 
         key = self.cache_key(stencil_module, spec) if self.cache is not None else None
-        mapped = self.cache is not None and self.cache.fmt == "mapped"
         middle: MiddleEndResult | None = None
         if self.cache is not None and key is not None:
-            # Mapped hits decode to fresh private objects already, so the
-            # note is restamped in place; pickle hits clone defensively.
-            middle = self.cache.get(
-                key,
-                "middle-end",
-                rehydrate=(
-                    (lambda m: m.with_note("cached"))
-                    if mapped
-                    else (lambda m: m.clone(note="cached"))
-                ),
-            )
+            # A hit is a fresh private object: only the note is restamped.
+            middle = self.cache.get(key, "middle-end")
+            if middle is not None:
+                middle = middle.with_note("cached")
         if middle is None:
             middle = self._run_middle_end(stencil_module.clone(), spec)
             if self.cache is not None and key is not None:
-                # Store a private copy: the caller may mutate the returned
-                # IR.  Mapped stores encode immediately (isolation built
-                # in), so the clone round-trip is pickle-format-only.
-                self.cache.put(key, "middle-end", middle if mapped else middle.clone())
+                # put serialises now, so the caller may mutate the result.
+                self.cache.put(key, "middle-end", middle)
         self.pass_statistics = list(middle.pass_statistics)
 
         plan = select_plan(middle.plans, kernel_name)
@@ -385,7 +296,7 @@ class StencilHMLSCompiler:
             # Walk the chain through the tiny ``pass-prefix-hash`` sidecar
             # entries (just the out-hash strings) so no snapshot payload is
             # unpickled along the way; only the longest prefix's artefact
-            # is then fetched and cloned — one pickle round-trip total.
+            # is then fetched — one unpickle total.
             chain_hash = incoming_hash
             chain_keys: list[CacheKey] = []
             for pass_ in passes:
@@ -401,11 +312,7 @@ class StencilHMLSCompiler:
                 # (e.g. its store failed while the sidecar's succeeded).
                 artifact = self.cache.get(chain_keys[-1], "pass-prefix")
                 if artifact is not None:
-                    restored = (
-                        artifact.with_note("prefix-cached")
-                        if self.cache.fmt == "mapped"
-                        else artifact.clone(note="prefix-cached")
-                    )
+                    restored = artifact.with_note("prefix-cached")
                     start_index = len(chain_keys)
                     working = restored.module
                     context = PassContext()
@@ -444,9 +351,8 @@ class StencilHMLSCompiler:
                 statistics=list(statistics),
                 out_hash=out_hash,
             )
-            # isolate=True snapshots the live, still-mutating module with a
-            # single serialisation shared by both cache tiers.
-            self.cache.put(key, "pass-prefix", artifact, isolate=True)
+            # put serialises the live, still-mutating module right here.
+            self.cache.put(key, "pass-prefix", artifact)
             self.cache.put(key, "pass-prefix-hash", out_hash)
             incoming_hash = out_hash
 

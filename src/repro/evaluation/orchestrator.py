@@ -73,7 +73,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
 from repro.baselines.stencil_hmls import StencilHMLSFramework
-from repro.core.compile_cache import CACHE_FORMATS, CompileCache
+from repro.core.compile_cache import CompileCache
 from repro.evaluation.harness import (
     DEFAULT_CASES,
     PIPELINE_VARIANTS,
@@ -85,7 +85,6 @@ from repro.evaluation.harness import (
 from repro.evaluation.metrics import FrameworkResult
 from repro.evaluation.report import merge_results, results_to_json, _deterministic_entry
 from repro.fpga.device import ALVEO_U280, device_by_name
-from repro.ir.interning import open_shared_table, publish_intern_table
 from repro.ir.pass_registry import _split_top_level, canonical_pipeline_spec
 from repro.kernels.grids import ProblemSize
 
@@ -566,8 +565,6 @@ def shard_spec(
     cache_dir: str | None = None,
     remote_cache_dir: str | None = None,
     cache_max_bytes: int | None = None,
-    cache_format: str = "pickle",
-    intern_table: str | None = None,
     max_cases: int | None = None,
 ) -> dict[str, Any]:
     """The JSON-safe job description one shard worker executes."""
@@ -580,8 +577,6 @@ def shard_spec(
         "cache_dir": cache_dir,
         "remote_cache_dir": remote_cache_dir,
         "cache_max_bytes": cache_max_bytes,
-        "cache_format": cache_format,
-        "intern_table": intern_table,
         "max_cases": max_cases,
         "state_dir": str(state_dir),
         "events": str(state_dir / f"events-shard{shard.index}.jsonl"),
@@ -606,26 +601,14 @@ def run_shard_spec(spec: dict[str, Any]) -> int:
         cases = cases[:max_cases]
         interrupted = True
 
-    # Shared intern table: open read-only (missing/stale tables degrade
-    # to per-process interning) so cache hits resolve attribute references
-    # and the worker skips re-interning the parent's working set.
-    intern_table = spec.get("intern_table")
-    if intern_table:
-        open_shared_table(intern_table)
-
     cache = None
     if spec.get("cache_dir") or spec.get("remote_cache_dir"):
-        cache = CompileCache(
-            spec.get("cache_dir"),
-            remote_dir=spec.get("remote_cache_dir"),
-            fmt=spec.get("cache_format", "pickle"),
-        )
+        cache = CompileCache(spec.get("cache_dir"), remote_dir=spec.get("remote_cache_dir"))
     harness = EvaluationHarness(
         device=device_by_name(spec["device"]),
         repeats=spec["repeats"],
         cache=cache,
         jobs=max(spec.get("jobs", 1), 1),
-        intern_table=intern_table,
     )
     events = EventWriter(spec["events"])
     manifest = Path(spec["manifest"])
@@ -672,11 +655,6 @@ def run_shard_spec(spec: dict[str, Any]) -> int:
             os.kill(os.getpid(), signal.SIGKILL)
 
     results = harness.run_matrix(cases=cases, on_result=on_result)
-    if intern_table:
-        # Publish back the attributes this shard's compilations produced
-        # (append-only, atomic): later shards — including replacements
-        # stealing a dead worker's cases — warm-start from them.
-        publish_intern_table(intern_table)
     results_to_json(results, spec["results"], deterministic=True)
     if cache is not None and spec.get("cache_max_bytes") is not None:
         cache.gc(spec["cache_max_bytes"])
@@ -1155,8 +1133,6 @@ def orchestrate(
     cache_dir: str | None = None,
     remote_cache_dir: str | None = None,
     cache_max_bytes: int | None = None,
-    cache_format: str = "pickle",
-    intern_table: str | None = None,
     max_cases_per_shard: int | None = None,
     events: EventWriter | None = None,
     output: str | Path | None = None,
@@ -1183,17 +1159,6 @@ def orchestrate(
         launcher = LAUNCHERS[launcher]()
     events = events or EventWriter(None)
 
-    if intern_table is not None:
-        # Publish the planned cases' attribute working set before any
-        # worker launches: every shard — and every replacement shard a
-        # steal spawns later — warm-starts its interner from the table.
-        seed = EvaluationHarness(device=device_by_name(device), repeats=repeats)
-        for shard in plan.shards:
-            for case in shard.cases:
-                seed.build_module(case.kernel, case.size.shape)
-        published = publish_intern_table(intern_table)
-        events.emit("intern_table", path=str(intern_table), records=published)
-
     specs = [
         shard_spec(
             shard,
@@ -1204,8 +1169,6 @@ def orchestrate(
             cache_dir=cache_dir,
             remote_cache_dir=remote_cache_dir,
             cache_max_bytes=cache_max_bytes,
-            cache_format=cache_format,
-            intern_table=intern_table,
             max_cases=max_cases_per_shard,
         )
         for shard in plan.shards
@@ -1366,15 +1329,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cache-max-bytes", type=int, default=None, metavar="BYTES",
                         help="evict least-recently-used cache entries down to "
                         "this on-disk budget after each shard")
-    parser.add_argument("--cache-format", choices=CACHE_FORMATS, default="pickle",
-                        help="compile-cache storage format: 'pickle' (one "
-                        "blob per entry) or 'mapped' (sectioned container, "
-                        "mmap'd + lazily decoded on hits; default pickle)")
-    parser.add_argument("--shared-intern-table", default=None, metavar="DIR",
-                        help="shared attribute intern table directory: the "
-                        "orchestrator publishes the planned cases' canonical "
-                        "attributes before launching, and every shard worker "
-                        "opens it read-only to warm-start its interner")
     parser.add_argument("--max-retries", type=int, default=1, metavar="N",
                         help="relaunch a dead/straggling shard's unfinished "
                         "cases up to N times before failing hard (default 1)")
@@ -1478,8 +1432,6 @@ def main(argv: list[str] | None = None) -> int:
         cache_dir=args.cache_dir,
         remote_cache_dir=args.remote_cache_dir,
         cache_max_bytes=args.cache_max_bytes,
-        cache_format=args.cache_format,
-        intern_table=args.shared_intern_table,
         max_cases_per_shard=args.max_cases_per_shard,
         events=events,
         output=args.output,

@@ -10,14 +10,10 @@ data attached to operations; types are attributes carried by SSA values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
-from repro.ir.interning import (
-    InternedAttributeMeta,
-    reconstruct_interned,
-    table_reduce,
-)
+from repro.ir.interning import InternedAttributeMeta, reconstruct_interned
 
 
 class VerifyException(Exception):
@@ -70,18 +66,9 @@ class Attribute(metaclass=InternedAttributeMeta):
         return hash((type(self), self._hashable(self.parameters())))
 
     def __reduce__(self) -> tuple:
-        # With a shared intern table active, pickle shrinks to a digest
-        # reference the reader resolves against the mapped table.
-        shared = table_reduce(self)
-        if shared is not None:
-            return shared
         # Re-intern on unpickle: the interner is per-process, so identity
         # equality must be re-established in pool workers / cache readers.
-        state = {
-            k: v
-            for k, v in self.__dict__.items()
-            if k not in ("_hash", "_digest", "_prefer_ref")
-        }
+        state = {k: v for k, v in self.__dict__.items() if k != "_hash"}
         return (reconstruct_interned, (type(self), state))
 
     @staticmethod

@@ -32,11 +32,20 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.ir.core import Block, Operation, Region, SSAValue
-from repro.ir.interning import frame as _frame
 from repro.ir.printer import Printer
+
+
+def _frame(parts: Iterable[str]) -> bytes:
+    """Netstring-frame payload parts (``<len>:<part>...``).
+
+    Length-prefixing makes the encoding injective even though the parts
+    are unescaped user data — no separator a part could contain can make
+    two different part sequences encode alike.
+    """
+    return "".join(f"{len(part)}:{part}" for part in parts).encode("utf-8")
 
 
 class CanonicalPrinter(Printer):

@@ -53,13 +53,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.core.compile_cache import CACHE_FORMATS, CacheKey, CompileCache
+from repro.core.compile_cache import CacheKey, CompileCache
 from repro.evaluation.harness import BenchmarkCase, EvaluationHarness
 from repro.evaluation.metrics import FrameworkResult
 from repro.evaluation.orchestrator import case_to_dict, read_events
 from repro.evaluation.report import _deterministic_entry, merge_results
 from repro.fpga.device import device_by_name
-from repro.ir.interning import open_shared_table
 from repro.service.singleflight import Flight, SingleFlightTable
 from repro.service.spec import RequestSpec, RequestSpecError, parse_request, request_digest
 
@@ -705,11 +704,6 @@ def main(argv: list[str] | None = None) -> int:
                         "(warm requests are answered straight from it)")
     parser.add_argument("--remote-cache-dir", default=None, metavar="DIR",
                         help="shared network cache tier behind --cache-dir")
-    parser.add_argument("--cache-format", choices=CACHE_FORMATS, default="pickle",
-                        help="compile-cache storage format (default pickle)")
-    parser.add_argument("--shared-intern-table", default=None, metavar="DIR",
-                        help="shared attribute intern table to open read-only "
-                        "(cache hits resolve attribute references against it)")
     parser.add_argument("--max-inflight", type=int, default=4, metavar="N",
                         help="admission control: maximum queued+running "
                         "compile flights before shedding with 429 (default 4)")
@@ -725,11 +719,7 @@ def main(argv: list[str] | None = None) -> int:
 
     cache = None
     if args.cache_dir or args.remote_cache_dir:
-        cache = CompileCache(
-            args.cache_dir, remote_dir=args.remote_cache_dir, fmt=args.cache_format
-        )
-    if args.shared_intern_table:
-        open_shared_table(args.shared_intern_table)
+        cache = CompileCache(args.cache_dir, remote_dir=args.remote_cache_dir)
     service = CompileService(
         cache=cache,
         state_dir=args.state_dir,

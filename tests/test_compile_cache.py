@@ -1,20 +1,16 @@
 """Tests for the content-addressed compile cache and cache-aware harness."""
 
-import dataclasses
+import pickle
+import struct
 import threading
 
 import pytest
 
-from repro.core.compile_cache import (
-    CacheKey,
-    CompileCache,
-    MappedBlob,
-    _ensure_pickle_recursion_floor,
-    encode_mapped,
-)
+from repro.core.compile_cache import CacheKey, CompileCache, _ensure_pickle_recursion_floor
 from repro.core.config import CompilerOptions
 from repro.core.pipeline import StencilHMLSCompiler
 from repro.evaluation.harness import BenchmarkCase, EvaluationHarness
+from repro.evaluation.report import _deterministic_entry
 from repro.ir.hashing import module_hash
 from repro.ir.pass_registry import canonical_pipeline_spec
 from repro.ir.printer import print_module
@@ -255,86 +251,139 @@ class TestRemoteTier:
         assert any("remote tier" in line for line in consumer.stats.summary_lines())
 
 
-class TestMappedFormat:
+def _tier_pair(tier: str, root):
+    """(writer, reader) caches whose lookups reach ``tier``: the reader is a
+    fresh instance (a new process) unless the tier is memory."""
+    if tier == "memory":
+        cache = CompileCache()
+        return cache, cache
+    if tier == "disk":
+        return CompileCache(root), CompileCache(root)
+    return CompileCache(remote_dir=root), CompileCache(remote_dir=root)
+
+
+def _entries(root):
+    return sorted(root.rglob("*.pkl"))
+
+
+def _flip_byte(path, offset: int) -> None:
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+class TestBytesOnlyTiers:
+    """Every tier holds pickled bytes: each hit is a fresh private object."""
+
     def _key(self, name: str = "m") -> CacheKey:
         return CacheKey(module_hash=name)
 
-    def test_mapped_round_trip_returns_private_objects(self, tmp_path):
-        cache = CompileCache(tmp_path, fmt="mapped")
-        cache.put(self._key(), "result", {"mpts": [1.5, 2.5]})
-        first = cache.get(self._key(), "result")
-        second = cache.get(self._key(), "result")
+    @pytest.mark.parametrize("tier", ["memory", "disk", "remote"])
+    def test_mutating_a_hit_does_not_change_the_next_hit(self, tier, tmp_path):
+        writer, reader = _tier_pair(tier, tmp_path)
+        writer.put(self._key(), "result", {"mpts": [1.5, 2.5]})
+        first = reader.get(self._key(), "result")
         assert first == {"mpts": [1.5, 2.5]}
-        assert second == first
-        assert second is not first  # each decode yields fresh objects
-        first["mpts"].append(99)  # mutating a hit can't poison later hits
-        assert cache.get(self._key(), "result") == {"mpts": [1.5, 2.5]}
+        first["mpts"].append(99.0)
+        second = reader.get(self._key(), "result")
+        assert second == {"mpts": [1.5, 2.5]}
+        assert second is not first
+        assert reader.stats.hits["result"] == 2
 
-    def test_mapped_disk_tier_survives_new_cache_instance(self, tmp_path):
-        CompileCache(tmp_path, fmt="mapped").put(self._key(), "result", "artefact")
-        digest = self._key().digest("result")
-        assert (tmp_path / digest[:2] / f"{digest}.shmc").exists()
-        fresh = CompileCache(tmp_path, fmt="mapped")
-        assert fresh.get(self._key(), "result") == "artefact"
-        assert fresh.stats.hits["result"] == 1
+    def test_mutating_a_value_after_put_does_not_change_what_is_stored(self, tmp_path):
+        cache = CompileCache(tmp_path)
+        value = {"mpts": [1.5]}
+        cache.put(self._key(), "result", value)
+        value["mpts"].append(99.0)
+        assert cache.get(self._key(), "result") == {"mpts": [1.5]}
+        assert CompileCache(tmp_path).get(self._key(), "result") == {"mpts": [1.5]}
 
-    def test_mapped_remote_tier_round_trips(self, tmp_path):
-        remote = tmp_path / "remote"
-        publisher = CompileCache(tmp_path / "a", remote_dir=remote, fmt="mapped")
-        publisher.put(self._key(), "result", {"mpts": 2.0})
-        assert publisher.stats.remote_stores == 1
-        consumer = CompileCache(tmp_path / "b", remote_dir=remote, fmt="mapped")
-        assert consumer.get(self._key(), "result") == {"mpts": 2.0}
-        assert consumer.stats.remote_hits == 1
-        # Read-through: machine B's local tier now holds the container.
-        later = CompileCache(tmp_path / "b", fmt="mapped")
-        assert later.get(self._key(), "result") == {"mpts": 2.0}
-        assert later.stats.remote_hits == 0
+    def test_unpicklable_value_is_an_error_with_no_store(self, tmp_path):
+        cache = CompileCache(tmp_path, remote_dir=tmp_path / "remote")
+        cache.put(self._key(), "result", {"lock": threading.Lock()})
+        assert cache.stats.errors == 1
+        assert cache.stats.stores["result"] == 0
+        assert not cache.probe(self._key(), "result")
+        assert cache.get(self._key(), "result") is None
+        assert _entries(tmp_path) == []
 
-    def test_formats_do_not_cross_read(self, tmp_path):
-        """A pickle-format cache never serves a mapped container and vice
-        versa — each instance reads only its own extension."""
-        CompileCache(tmp_path, fmt="pickle").put(self._key(), "result", 1)
-        mapped = CompileCache(tmp_path, fmt="mapped")
-        assert mapped.get(self._key(), "result") is None
-        mapped.put(self._key(), "result", 2)
-        pickled = CompileCache(tmp_path, fmt="pickle")
-        assert pickled.get(self._key(), "result") == 1
+    def test_warm_compiles_share_no_ir_op_objects(self, module):
+        compiler = StencilHMLSCompiler(cache=CompileCache())
+        compiler.compile_with_artifacts(module)
 
-    def test_corrupt_mapped_entry_is_a_miss(self, tmp_path):
-        cache = CompileCache(tmp_path, fmt="mapped")
-        cache.put(self._key(), "result", "artefact")
-        for entry in tmp_path.rglob("*.shmc"):
-            entry.write_bytes(b"not a mapped container")
-        fresh = CompileCache(tmp_path, fmt="mapped")
+        def op_ids(artifacts) -> set[int]:
+            return {
+                id(op)
+                for root in (artifacts.hls_module, artifacts.llvm_module)
+                for op in root.walk()
+            }
+
+        first = compiler.compile_with_artifacts(module)
+        second = compiler.compile_with_artifacts(module)
+        assert compiler.cache.stats.hits["middle-end"] == 2
+        assert op_ids(first).isdisjoint(op_ids(second))
+        assert print_module(first.llvm_module) == print_module(second.llvm_module)
+
+
+class TestCorruptEntries:
+    """A damaged disk/remote entry is a located error and a recompute,
+    never a wrong number served as a hit."""
+
+    def _key(self) -> CacheKey:
+        return CacheKey(module_hash="m")
+
+    def test_flipped_bit_in_a_float_is_a_miss(self, tmp_path):
+        CompileCache(tmp_path).put(self._key(), "result", {"mpts": 137.55})
+        (entry,) = _entries(tmp_path)
+        data = entry.read_bytes()
+        # Flip the lowest bit of the float's last (big-endian) byte.
+        _flip_byte(entry, data.index(struct.pack(">d", 137.55)) + 7)
+        fresh = CompileCache(tmp_path)
         assert fresh.get(self._key(), "result") is None
-        assert fresh.stats.errors > 0
+        assert fresh.stats.errors == 1
+        assert fresh.stats.misses["result"] == 1
 
-    def test_mapped_blob_sections_decode_lazily(self):
-        blob = MappedBlob(encode_mapped({"answer": 42}))
-        assert blob.decode() == {"answer": 42}
-        blob.close()
+    def test_entry_from_an_older_format_is_a_miss(self, tmp_path):
+        CompileCache(tmp_path).put(self._key(), "result", {"mpts": 1.0})
+        (entry,) = _entries(tmp_path)
+        entry.write_bytes(pickle.dumps({"mpts": 1.0}))  # no magic, no CRC
+        fresh = CompileCache(tmp_path)
+        assert fresh.get(self._key(), "result") is None
+        assert fresh.stats.errors == 1
 
-    def test_mapped_compile_matches_pickle_compile(self, tmp_path):
-        module = build_pw_advection(PW_ADVECTION_SIZES["8M"].shape)
-        outputs = {}
-        for fmt in ("pickle", "mapped"):
-            cache = CompileCache(tmp_path / fmt, fmt=fmt)
-            compiler = StencilHMLSCompiler(cache=cache)
-            compiler.compile(module)  # cold store
-            warm = compiler.compile(module)  # warm hit via fmt's restore path
-            assert cache.stats.hits["middle-end"] == 1
-            assert all(s.note == "cached" for s in compiler.pass_statistics)
-            outputs[fmt] = (
-                warm.summary(),
-                print_module(warm.llvm_module),
-                print_module(warm.hls_module),
-            )
-        assert outputs["mapped"] == outputs["pickle"]
+    def test_corrupt_local_entry_falls_back_to_the_remote_tier(self, tmp_path):
+        local, remote = tmp_path / "local", tmp_path / "remote"
+        CompileCache(local, remote_dir=remote).put(self._key(), "result", {"mpts": 2.0})
+        (entry,) = _entries(local)
+        entry.write_bytes(entry.read_bytes()[:-3])
+        fresh = CompileCache(local, remote_dir=remote)
+        assert fresh.get(self._key(), "result") == {"mpts": 2.0}
+        assert fresh.stats.errors == 1
+        assert fresh.stats.remote_hits == 1
+        # Read-through repaired the local entry.
+        assert CompileCache(local).get(self._key(), "result") == {"mpts": 2.0}
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            CompileCache(tmp_path, fmt="msgpack")
+    @pytest.mark.parametrize("fault", ["flip", "truncate"])
+    @pytest.mark.parametrize("tier", ["disk", "remote"])
+    def test_damaged_tier_recompiles_to_the_cold_result(self, tier, fault, tmp_path):
+        cases = [BenchmarkCase("pw_advection", PW_ADVECTION_SIZES["8M"], "Stencil-HMLS")]
+        cold = EvaluationHarness(repeats=1).run_matrix(cases=cases)
+        writer, reader = _tier_pair(tier, tmp_path)
+        EvaluationHarness(repeats=1, cache=writer).run_matrix(cases=cases)
+        entries = _entries(tmp_path)
+        assert entries
+        for entry in entries:
+            size = entry.stat().st_size
+            if fault == "flip":
+                _flip_byte(entry, size // 2)
+            else:
+                entry.write_bytes(entry.read_bytes()[: size // 2])
+        warm = EvaluationHarness(repeats=1, cache=reader).run_matrix(cases=cases)
+        assert reader.stats.total_hits == 0
+        assert reader.stats.errors > 0
+        assert [_deterministic_entry(r.as_dict()) for r in warm] == [
+            _deterministic_entry(r.as_dict()) for r in cold
+        ]
 
 
 class TestDiskBytesCounter:
