@@ -8,8 +8,10 @@ numbers are tracked over time rather than asserted once:
   equality degenerates to identity for structurally equal attributes;
 * incremental module hashing: re-hash after a single-op mutation is ≥ 5×
   faster than a cold full hash of the same module;
-* per-pass-prefix caching: a warm ablation run that toggles only the last
-  stencil→HLS sub-pass reuses the whole shared prefix — the per-stage hit
+* per-pass-prefix caching: ablation runs that toggle only the last
+  stencil→HLS sub-pass share one prefix.  The first run leaves only
+  markers, the second stores the one snapshot at the branch point, and
+  every later run reuses the whole shared prefix — the per-stage hit
   stats prove zero upstream passes re-ran.
 """
 
@@ -28,6 +30,7 @@ from repro.evaluation.harness import (
     ABLATION_VARIANTS,
     PIPELINE_VARIANTS,
     STAGED_PIPELINE,
+    staged_variant,
 )
 from repro.ir.attributes import IntAttr
 from repro.ir.hashing import module_hash
@@ -130,41 +133,56 @@ def test_incremental_rehash_after_single_op_mutation_is_5x_faster():
 
 
 def test_prefix_cache_reuses_shared_prefix_across_ablation(tmp_path):
-    """Toggling only the last stencil→HLS sub-pass must reuse every
-    upstream stage: the hit stats and per-pass notes prove 0 re-runs."""
+    """Toggling only the last stencil→HLS sub-pass: the second pipeline
+    through the shared prefix stores its one branch-point snapshot, and
+    every later one reuses every upstream stage — the hit stats and
+    per-pass notes prove 0 re-runs."""
     module = build_pw_advection(PW_ADVECTION_SIZES["8M"].shape)
     cache = CompileCache(tmp_path)
+    upstream = STAGED_PIPELINE.split(",")[:6]
 
     start = time.perf_counter()
     StencilHMLSCompiler(pass_pipeline=STAGED_PIPELINE, cache=cache).compile(module)
     cold_seconds = time.perf_counter() - start
-    assert cache.stats.hits.get("pass-prefix", 0) == 0
+    # A one-off pipeline leaves a marker per prefix and no snapshot.
+    assert cache.stats.stores["pass-prefix-hash"] == 7
+    assert cache.stats.stores.get("pass-prefix", 0) == 0
 
-    ablated = StencilHMLSCompiler(
+    # The staged spelling shares canonicalize + the first five sub-passes.
+    # The second pipeline finds their six markers, re-runs the prefix once
+    # and snapshots it at the branch point: exactly one put.
+    second = StencilHMLSCompiler(
         pass_pipeline=PIPELINE_VARIANTS["single-bundle-staged"], cache=cache
     )
-    start = time.perf_counter()
-    ablated.compile(module)
-    warm_seconds = time.perf_counter() - start
-
-    # The staged spelling shares canonicalize + the first five sub-passes;
-    # only `hls-bundle-assignment{bundles=0}` and the LLVM lowering re-run.
-    # The chain is walked through the hash sidecar (6 hits); exactly one
-    # full snapshot — the longest shared prefix — is unpickled.
+    second.compile(module)
     assert cache.stats.hits["pass-prefix-hash"] == 6
+    assert cache.stats.stores["pass-prefix"] == 1
+    assert cache.stats.hits.get("pass-prefix", 0) == 0
+
+    # Every later pipeline through the branch point restores it: six marker
+    # hits walk the chain, one snapshot is unpickled, and only
+    # `hls-bundle-assignment{bundle_small=0}` and the LLVM lowering re-run.
+    third = StencilHMLSCompiler(
+        pass_pipeline=staged_variant("hls-bundle-assignment", bundle_small=0), cache=cache
+    )
+    start = time.perf_counter()
+    third.compile(module)
+    warm_seconds = time.perf_counter() - start
+    assert cache.stats.hits["pass-prefix-hash"] == 12
     assert cache.stats.hits["pass-prefix"] == 1
-    reused = [s for s in ablated.pass_statistics if s.note == "prefix-cached"]
-    executed = [s for s in ablated.pass_statistics if s.note != "prefix-cached"]
-    assert [s.name for s in reused] == STAGED_PIPELINE.split(",")[:6]
+    assert cache.stats.stores["pass-prefix"] == 1
+    reused = [s for s in third.pass_statistics if s.note == "prefix-cached"]
+    executed = [s for s in third.pass_statistics if s.note != "prefix-cached"]
+    assert [s.name for s in reused] == upstream
     assert [s.name for s in executed] == [
-        "hls-bundle-assignment{bundles=0}",
+        "hls-bundle-assignment{bundle_small=0}",
         "convert-hls-to-llvm",
     ]
-    upstream = STAGED_PIPELINE.split(",")[:6]
     upstream_reruns = len([s for s in executed if s.name in upstream])
     assert upstream_reruns == 0
     _RECORD["prefix_cache"] = {
         "prefix_hits": cache.stats.hits["pass-prefix-hash"],
+        "snapshots_stored": cache.stats.stores["pass-prefix"],
         "upstream_reruns": upstream_reruns,
         "cold_ms": round(cold_seconds * 1e3, 1),
         "warm_suffix_ms": round(warm_seconds * 1e3, 1),

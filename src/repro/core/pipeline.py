@@ -39,7 +39,7 @@ from repro.fpga.xclbin import Xclbin
 from repro.fpp.preprocessor import FPPReport, run_fpp
 from repro.ir.analysis import AnalysisManager, AnalysisStats
 from repro.ir.hashing import fingerprint_mapping, module_hash
-from repro.ir.pass_registry import PassRegistry, canonical_pipeline_spec
+from repro.ir.pass_registry import PassRegistry, _split_top_level, canonical_pipeline_spec
 from repro.ir.passes import PassContext, PassManager, PassStatistics
 from repro.ir.verifier import verify_module
 from repro.transforms.hls_to_llvm import HLSToLLVMPass
@@ -114,26 +114,45 @@ class MiddleEndResult:
         )
 
 
+def prefix_keys(key: CacheKey) -> list[CacheKey]:
+    """Cache keys of every proper prefix of ``key``'s pipeline, shortest
+    first (the full pipeline is the ``middle-end`` stage's business).
+
+    A deterministic prefix's output is fixed by its input module and its
+    spec, so each prefix is keyed by the *root* module hash, the canonical
+    spec prefix and the options: no intermediate module is ever hashed.
+
+    >>> [k.pipeline for k in prefix_keys(CacheKey("m", "a,b{x=1,y=2},c"))]
+    ['a', 'a,b{x=1,y=2}']
+    """
+    entries = _split_top_level(key.pipeline)
+    return [
+        dataclasses.replace(key, pipeline=",".join(entries[:depth]))
+        for depth in range(1, len(entries))
+    ]
+
+
 @dataclass
 class PassPrefixArtifact:
     """Middle-end snapshot after one pipeline *prefix* — the unit of the
     per-pass artefact cache (stage ``pass-prefix``).
 
-    Stored under ``(incoming module fingerprint, canonical spec prefix,
-    options fingerprint)``, so an ablation sweep that only toggles a late
-    sub-pass resumes from the longest shared prefix instead of re-running
-    every upstream pass.  The module, the :class:`LoweringContext` and the
-    HLS snapshot reference each other's IR objects, so they are pickled
-    *together* as one cache entry to stay consistent.
+    Stored under a :func:`prefix_keys` key, and only at a *branch point*:
+    every executed prefix first leaves a tiny marker (stage
+    ``pass-prefix-hash``, a name kept for the tools that read its
+    counters); a later pipeline that finds another's markers stores one
+    snapshot at the deepest marked prefix, so the third and later
+    pipelines sharing it resume there instead of re-running every
+    upstream pass.  A one-off pipeline stores no snapshot at all.
+    The module, the :class:`LoweringContext` and the HLS snapshot
+    reference each other's IR objects, so they are pickled *together* as
+    one cache entry to stay consistent.
     """
 
     module: ModuleOp
     lowering: "LoweringContext | None"
     hls_module: ModuleOp | None
     statistics: list[PassStatistics]
-    #: Fingerprint of ``module`` — the next stage's chain key, precomputed
-    #: so warm lookups never have to re-hash restored snapshots.
-    out_hash: str
 
     def clone(self) -> "PassPrefixArtifact":
         """A private deep copy: one pickle round-trip, so the module, the
@@ -152,7 +171,6 @@ class PassPrefixArtifact:
                 dataclasses.replace(stat, note=note or stat.note)
                 for stat in self.statistics
             ],
-            out_hash=self.out_hash,
         )
 
 
@@ -232,7 +250,7 @@ class StencilHMLSCompiler:
             if middle is not None:
                 middle = middle.with_note("cached")
         if middle is None:
-            middle = self._run_middle_end(stencil_module.clone(), spec)
+            middle = self._run_middle_end(stencil_module.clone(), spec, key)
             if self.cache is not None and key is not None:
                 # put serialises now, so the caller may mutate the result.
                 self.cache.put(key, "middle-end", middle)
@@ -269,11 +287,15 @@ class StencilHMLSCompiler:
 
     # -- middle-end (device-independent pass pipeline) -----------------------
 
-    def _run_middle_end(self, working: ModuleOp, spec: str) -> MiddleEndResult:
+    def _run_middle_end(
+        self, working: ModuleOp, spec: str, key: CacheKey | None = None
+    ) -> MiddleEndResult:
+        """Run the pass pipeline over ``working``.  With a cache, ``key``
+        is the ``middle-end`` key of this compile: its root module hash
+        addresses every pipeline prefix (see :func:`prefix_keys`)."""
         context = PassContext()
         context.set(LoweringContext(options=self.options))
         manager = PassRegistry.parse(spec, context=context)
-        passes = manager.passes
         statistics: list[PassStatistics] = []
 
         # Snapshot the HLS-dialect module right before it is lowered to LLVM
@@ -282,38 +304,23 @@ class StencilHMLSCompiler:
         # on a stencil module — only snapshot once kernels were lowered.
         snapshots: dict[str, ModuleOp] = {}
 
-        # Per-pass-prefix artefact cache: resume from the longest cached
-        # prefix, then store a snapshot after each freshly-executed pass so
-        # future sweeps sharing a longer prefix resume even later.
-        use_prefix = self.cache is not None and len(passes) > 1
+        # Per-pass-prefix artefact cache.  Walk the markers of the prefixes
+        # other pipelines already executed, then resume from the longest
+        # snapshot stored at or below them (falling back to shorter ones if
+        # a snapshot is missing or corrupt, or to scratch).
+        keys = prefix_keys(key) if self.cache is not None and key is not None else []
+        marked = 0
         start_index = 0
-        prefix_parts: list[str] = []
-        incoming_hash = ""
-        options_fp = ""
-        if use_prefix:
-            options_fp = fingerprint_mapping(dataclasses.asdict(self.options))
-            incoming_hash = module_hash(working)
-            # Walk the chain through the tiny ``pass-prefix-hash`` sidecar
-            # entries (just the out-hash strings) so no snapshot payload is
-            # unpickled along the way; only the longest prefix's artefact
-            # is then fetched — one unpickle total.
-            chain_hash = incoming_hash
-            chain_keys: list[CacheKey] = []
-            for pass_ in passes:
-                prefix_parts.append(pass_.describe())
-                key = CacheKey(chain_hash, ",".join(prefix_parts), options_fp)
-                next_hash = self.cache.get(key, "pass-prefix-hash")
-                if not isinstance(next_hash, str):
-                    break
-                chain_keys.append(key)
-                chain_hash = next_hash
-            while chain_keys:
-                # Fall back to shorter prefixes if a snapshot went missing
-                # (e.g. its store failed while the sidecar's succeeded).
-                artifact = self.cache.get(chain_keys[-1], "pass-prefix")
+        if keys:
+            while marked < len(keys) and (
+                self.cache.get(keys[marked], "pass-prefix-hash") is not None
+            ):
+                marked += 1
+            for depth in range(marked, 0, -1):
+                artifact = self.cache.get(keys[depth - 1], "pass-prefix")
                 if artifact is not None:
                     restored = artifact.with_note("prefix-cached")
-                    start_index = len(chain_keys)
+                    start_index = depth
                     working = restored.module
                     context = PassContext()
                     if restored.lowering is not None:
@@ -321,10 +328,7 @@ class StencilHMLSCompiler:
                     statistics = list(restored.statistics)
                     if restored.hls_module is not None:
                         snapshots["hls"] = restored.hls_module
-                    incoming_hash = restored.out_hash
                     break
-                chain_keys.pop()
-            prefix_parts = prefix_parts[:start_index]
 
         def snapshot_hls(pass_, module) -> None:
             if isinstance(pass_, HLSToLLVMPass) and "hls" not in snapshots:
@@ -333,28 +337,29 @@ class StencilHMLSCompiler:
                     snapshots["hls"] = module.clone()
 
         def store_prefix(pass_, module, stat: PassStatistics) -> None:
-            nonlocal incoming_hash
             statistics.append(stat)
-            if not use_prefix:
+            depth = len(statistics)
+            if depth > len(keys):
+                # No cache, or the full pipeline: the middle-end stage
+                # caches the completed pipeline's result.
                 return
-            prefix_parts.append(pass_.describe())
-            if len(prefix_parts) == len(passes):
-                # The full-length "prefix" is not stored: the middle-end
-                # stage already caches the completed pipeline's result.
-                return
-            key = CacheKey(incoming_hash, ",".join(prefix_parts), options_fp)
-            out_hash = module_hash(module)
-            artifact = PassPrefixArtifact(
-                module=module,
-                lowering=context.get(LoweringContext),
-                hls_module=snapshots.get("hls"),
-                statistics=list(statistics),
-                out_hash=out_hash,
-            )
-            # put serialises the live, still-mutating module right here.
-            self.cache.put(key, "pass-prefix", artifact)
-            self.cache.put(key, "pass-prefix-hash", out_hash)
-            incoming_hash = out_hash
+            if depth > marked:
+                # First pipeline through this prefix: a marker, no snapshot.
+                self.cache.put(keys[depth - 1], "pass-prefix-hash", True)
+            elif depth == marked:
+                # The branch point: another pipeline already ran this
+                # prefix, so it is shared — snapshot it once for the next.
+                # put serialises the live, still-mutating module right here.
+                self.cache.put(
+                    keys[depth - 1],
+                    "pass-prefix",
+                    PassPrefixArtifact(
+                        module=module,
+                        lowering=context.get(LoweringContext),
+                        hls_module=snapshots.get("hls"),
+                        statistics=list(statistics),
+                    ),
+                )
 
         manager.context = context
         manager.run(

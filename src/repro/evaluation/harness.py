@@ -81,7 +81,9 @@ KERNEL_SIZES: dict[str, dict[str, ProblemSize]] = {
 #: The six stencil→HLS sub-passes spelled out individually.  Ablation
 #: variants toggle options on *one* sub-pass, so sweeps over this spelling
 #: share long pipeline prefixes — which the compiler's per-pass-prefix
-#: artefact cache turns into real reuse (only the toggled suffix re-runs).
+#: artefact cache turns into real reuse: the second variant through a
+#: shared prefix snapshots it at the branch point, and every later one
+#: re-runs only the toggled suffix.
 STAGED_PIPELINE: str = (
     "canonicalize,stencil-shape-inference,stencil-interface-lowering,"
     "stencil-small-data-buffering,stencil-wave-pipelining,"

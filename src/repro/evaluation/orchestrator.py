@@ -267,7 +267,12 @@ class ShardPlan:
     @property
     def prefix_reuse_depth(self) -> int:
         """Predicted pass-prefix reuse: total shared-prefix passes between
-        consecutive cases of this shard."""
+        consecutive cases of this shard.
+
+        Each shared pass is a ``pass-prefix`` marker hit.  A snapshot is
+        only stored by the second case through a prefix (at the branch
+        point), so restores — passes not re-run — start with the third.
+        """
         return sum(
             shared_prefix_depth(a, b) for a, b in zip(self.cases, self.cases[1:])
         )

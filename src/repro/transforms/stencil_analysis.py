@@ -47,7 +47,9 @@ class StencilStageInfo:
     """One ``stencil.apply`` + the stores consuming its results."""
 
     index: int
-    apply_op: stencil.ApplyOp
+    #: ``None`` once the stencil lowering has consumed it (see
+    #: ``stencil-compute-split``), so finished plans hold no IR.
+    apply_op: stencil.ApplyOp | None
     output_args: list[str] = field(default_factory=list)     # kernel args written
     output_fields: list[str] = field(default_factory=list)   # field names written (incl. temps)
     input_fields: list[str] = field(default_factory=list)    # field names read

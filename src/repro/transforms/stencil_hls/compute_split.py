@@ -52,6 +52,11 @@ class StencilComputeSplitPass(StencilLoweringPass):
             # The HLS kernel fully replaces the original stencil function.
             state.source_func.detach()
             state.source_func.drop_all_references()
+            # The finished plan outlives the IR: drop its last references
+            # into the stencil function, so no plan (nor a design carrying
+            # one) drags IR into a pickle.
+            for stage in state.analysis.stages:
+                stage.apply_op = None
             changed = True
         return changed
 
@@ -231,6 +236,7 @@ class StencilComputeSplitPass(StencilLoweringPass):
 
         for stage in stages:
             apply_op = stage.apply_op
+            assert apply_op is not None, "stencil-compute-split ran twice on a kernel"
             window_values = {
                 field_name: stage_windows[(stage.index, field_name)]
                 for field_name in stage.input_fields

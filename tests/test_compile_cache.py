@@ -66,10 +66,27 @@ class TestCacheKey:
         assert cache.stats.hits["middle-end"] == 0
         assert cache.stats.hits["synthesis"] == 0
         assert cache.stats.misses["middle-end"] == 2
-        # … but the prefix cache may (correctly) reuse the shared
-        # `canonicalize` stage, whose output does not depend on `pack`.
-        assert cache.stats.hits.get("pass-prefix", 0) == 1
         assert results[1].design.interfaces != results[0].design.interfaces
+        # … but they share the `canonicalize` prefix, whose output does not
+        # depend on `pack`.  The second pipeline finds the first one's
+        # marker there, re-runs it once and stores its snapshot: exactly
+        # one snapshot, nothing restored yet.
+        assert cache.stats.hits["pass-prefix-hash"] == 1
+        assert cache.stats.stores["pass-prefix"] == 1
+        assert cache.stats.hits.get("pass-prefix", 0) == 0
+        assert not any(s.note == "prefix-cached" for s in compiler.pass_statistics)
+        # A third pipeline through the same branch point restores it: zero
+        # upstream passes re-run, and no further snapshot is stored.
+        third = StencilHMLSCompiler(
+            pass_pipeline="canonicalize,convert-stencil-to-hls{split=0},convert-hls-to-llvm",
+            cache=cache,
+        )
+        third.compile(module)
+        assert cache.stats.hits["pass-prefix"] == 1
+        assert cache.stats.stores["pass-prefix"] == 1
+        assert [s.name for s in third.pass_statistics if s.note == "prefix-cached"] == [
+            "canonicalize"
+        ]
 
     def test_alias_spelling_shares_one_entry(self, module, tmp_path):
         cache = CompileCache(tmp_path)

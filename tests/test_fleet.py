@@ -92,9 +92,10 @@ class TestChaosKillAndSteal:
         ]
         assert stats
         assert all(_stage_hits(s, "result") == 0 for s in stats)
-        # The stolen work warm-started from pass-prefix artefacts the dead
-        # worker had already published to the shared cache: a replacement
-        # shard (index above the planned two) shows cross-worker hits.
+        # The stolen work found pass-prefix markers (and any branch-point
+        # snapshots) the dead worker had already published to the shared
+        # cache: a replacement shard (index above the planned two) shows
+        # cross-worker hits.
         replacement_stats = [
             e["cache_stats"]
             for e in events

@@ -130,7 +130,7 @@ class TestPrefixScheduling:
 
 def _prefix_cache_hits(shards: list[list[BenchmarkCase]]) -> int:
     """Evaluate each shard with its own fresh in-memory cache; total the
-    pass-prefix stage hits (chain sidecar reads + artefact restores)."""
+    pass-prefix stage hits (marker hits + snapshot restores)."""
     hits = 0
     for shard in shards:
         if not shard:
